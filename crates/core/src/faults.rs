@@ -20,8 +20,14 @@
 //! `M3_FAULTS=fail:fsync:0` fails the first fsync of the process,
 //! `M3_FAULTS=short:write:3` short-writes the fourth write,
 //! `M3_FAULTS=delay:any:0:50` delays every step by 50 ms) arms a plan at the
-//! first injected operation of the process.  Only one plan is active at a
-//! time; the crash-matrix suite serialises its cases around that.
+//! first injected operation of the process.
+//!
+//! A programmatic plan is scoped to a path prefix, typically a test's
+//! temporary directory: it counts, logs and fails only the steps whose path
+//! lies under that prefix.  Plans with different scopes stay armed side by
+//! side, so tests running concurrently in one process never see each
+//! other's faults.  The `M3_FAULTS` plan is unscoped and sees every step
+//! that no scoped plan claims.
 
 use std::fs::File;
 use std::io::{self, Write};
@@ -176,40 +182,62 @@ pub struct FaultReport {
 }
 
 struct State {
+    /// Steps under this prefix belong to the plan; `None` (the `M3_FAULTS`
+    /// plan) takes every step no scoped plan claims.
+    scope: Option<PathBuf>,
     plan: FaultPlan,
     matched: u64,
     triggered: bool,
     log: Vec<StepRecord>,
 }
 
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-static STATE: Mutex<Option<State>> = Mutex::new(None);
-static ENV_INIT: Once = Once::new();
-
-fn lock_state() -> std::sync::MutexGuard<'static, Option<State>> {
-    // A panicking holder cannot leave the counters in a harmful state;
-    // recover the guard instead of cascading the poison.
-    STATE.lock().unwrap_or_else(PoisonError::into_inner)
+impl State {
+    fn new(scope: Option<PathBuf>, plan: FaultPlan) -> Self {
+        Self {
+            scope,
+            plan,
+            matched: 0,
+            triggered: false,
+            log: Vec::new(),
+        }
+    }
 }
 
-/// Arm `plan`, resetting the step counter and log.  Replaces any previously
-/// armed plan.
-pub fn arm(plan: FaultPlan) {
-    let mut state = lock_state();
-    *state = Some(State {
-        plan,
-        matched: 0,
-        triggered: false,
-        log: Vec::new(),
-    });
+static ACTIVE: AtomicBool = AtomicBool::new(false);
+static ARMED: Mutex<Vec<State>> = Mutex::new(Vec::new());
+static ENV_INIT: Once = Once::new();
+
+fn lock_armed() -> std::sync::MutexGuard<'static, Vec<State>> {
+    // A panicking holder cannot leave the counters in a harmful state;
+    // recover the guard instead of cascading the poison.
+    ARMED.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn install(armed: &mut Vec<State>, state: State) {
+    armed.retain(|s| s.scope != state.scope);
+    armed.push(state);
     ACTIVE.store(true, Ordering::Release);
 }
 
-/// Disarm any armed plan and report what it observed.
-pub fn disarm() -> FaultReport {
-    let mut state = lock_state();
-    ACTIVE.store(false, Ordering::Release);
-    match state.take() {
+/// Arm `plan` for the steps whose path lies under `scope`, resetting its
+/// step counter and log.  Replaces a plan armed earlier with the same
+/// scope; plans with other scopes are untouched.
+pub fn arm(scope: &Path, plan: FaultPlan) {
+    install(
+        &mut lock_armed(),
+        State::new(Some(scope.to_path_buf()), plan),
+    );
+}
+
+/// Disarm the plan armed for `scope` and report what it observed.
+pub fn disarm(scope: &Path) -> FaultReport {
+    let mut armed = lock_armed();
+    let state = armed
+        .iter()
+        .position(|s| s.scope.as_deref() == Some(scope))
+        .map(|i| armed.swap_remove(i));
+    ACTIVE.store(!armed.is_empty(), Ordering::Release);
+    match state {
         Some(s) => FaultReport {
             matching_steps: s.matched,
             triggered: s.triggered,
@@ -233,7 +261,7 @@ fn init_from_env() {
     ENV_INIT.call_once(|| {
         if let Some(spec) = std::env::var_os("M3_FAULTS") {
             if let Some(plan) = spec.to_str().and_then(FaultPlan::parse) {
-                arm(plan);
+                install(&mut lock_armed(), State::new(None, plan));
             }
         }
     });
@@ -259,8 +287,22 @@ fn decide(op: FaultOp, path: &Path) -> Decision {
     if !active() {
         return Decision::Proceed;
     }
-    let mut guard = lock_state();
-    let Some(state) = guard.as_mut() else {
+    let mut guard = lock_armed();
+    // The deepest scope containing `path` owns the step; the unscoped plan
+    // (depth 0) takes what no scoped plan claims.
+    let owner = guard
+        .iter_mut()
+        .filter(|s| {
+            s.scope
+                .as_deref()
+                .is_none_or(|scope| path.starts_with(scope))
+        })
+        .max_by_key(|s| {
+            s.scope
+                .as_deref()
+                .map_or(0, |scope| scope.components().count() + 1)
+        });
+    let Some(state) = owner else {
         return Decision::Proceed;
     };
     state.log.push(StepRecord {
@@ -399,10 +441,6 @@ pub fn tmp_sibling(path: &Path) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex as StdMutex;
-
-    // The plan is process-global; serialise the tests that arm one.
-    static SERIAL: StdMutex<()> = StdMutex::new(());
 
     #[test]
     fn tmp_sibling_stays_in_the_same_directory() {
@@ -431,55 +469,84 @@ mod tests {
 
     #[test]
     fn inactive_layer_passes_operations_through() {
-        let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out = Vec::new();
-        write_all(&mut out, b"hello", Path::new("x")).unwrap();
-        flush(&mut out, Path::new("x")).unwrap();
+        write_all(&mut out, b"hello", Path::new("unarmed/x")).unwrap();
+        flush(&mut out, Path::new("unarmed/x")).unwrap();
         assert_eq!(out, b"hello");
     }
 
     #[test]
     fn armed_plan_counts_fails_and_short_writes() {
-        let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
-        let path = Path::new("victim");
+        let scope = Path::new("counted");
+        let path = Path::new("counted/victim");
 
-        arm(FaultPlan::count_only());
+        arm(scope, FaultPlan::count_only());
         let mut out = Vec::new();
         write_all(&mut out, b"abcd", path).unwrap();
         write_all(&mut out, b"efgh", path).unwrap();
         flush(&mut out, path).unwrap();
-        let report = disarm();
+        let report = disarm(scope);
         assert_eq!(report.matching_steps, 3);
         assert!(!report.triggered);
         assert_eq!(report.log.len(), 3);
         assert_eq!(report.log[2].op, FaultOp::Flush);
 
-        arm(FaultPlan::fail_at(1, Some(FaultOp::Write)));
+        arm(scope, FaultPlan::fail_at(1, Some(FaultOp::Write)));
         let mut out = Vec::new();
         write_all(&mut out, b"abcd", path).unwrap();
         let err = write_all(&mut out, b"efgh", path).unwrap_err();
         assert!(err.to_string().contains("injected fault"));
         assert_eq!(out, b"abcd");
-        assert!(disarm().triggered);
+        assert!(disarm(scope).triggered);
 
-        arm(FaultPlan::short_write_at(0));
+        arm(scope, FaultPlan::short_write_at(0));
         let mut out = Vec::new();
         assert!(write_all(&mut out, b"abcd", path).is_err());
         assert_eq!(out, b"ab", "short write persists a torn prefix");
-        assert!(disarm().triggered);
+        assert!(disarm(scope).triggered);
+    }
+
+    #[test]
+    fn plans_see_only_the_steps_under_their_scope() {
+        let (outer, inner) = (Path::new("scoped"), Path::new("scoped/inner"));
+        arm(outer, FaultPlan::fail_at(0, None));
+        arm(inner, FaultPlan::count_only());
+        let mut out = Vec::new();
+        // Outside both scopes (a sibling sharing the string prefix, too):
+        // neither counted nor failed.
+        write_all(&mut out, b"a", Path::new("elsewhere/f")).unwrap();
+        write_all(&mut out, b"b", Path::new("scoped-sibling/f")).unwrap();
+        // The deeper scope owns its steps.
+        write_all(&mut out, b"c", Path::new("scoped/inner/f")).unwrap();
+        flush(&mut out, Path::new("scoped/inner/f")).unwrap();
+        // The outer plan fails its first step.
+        let err = write_all(&mut out, b"d", Path::new("scoped/f")).unwrap_err();
+        assert!(err.to_string().contains("injected fault"));
+        assert_eq!(out, b"abc");
+
+        let inner_report = disarm(inner);
+        assert_eq!(inner_report.matching_steps, 2);
+        assert!(inner_report.log.iter().all(|s| s.path.starts_with(inner)));
+        let outer_report = disarm(outer);
+        assert!(outer_report.triggered);
+        assert_eq!(outer_report.matching_steps, 1);
+        assert_eq!(disarm(outer).matching_steps, 0, "already disarmed");
     }
 
     #[test]
     fn delay_plans_proceed_after_sleeping() {
-        let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
-        arm(FaultPlan {
-            trigger_at: Some(0),
-            kind: FaultKind::Delay(Duration::from_millis(1)),
-            op: None,
-        });
+        let scope = Path::new("delayed");
+        arm(
+            scope,
+            FaultPlan {
+                trigger_at: Some(0),
+                kind: FaultKind::Delay(Duration::from_millis(1)),
+                op: None,
+            },
+        );
         let mut out = Vec::new();
-        write_all(&mut out, b"zz", Path::new("d")).unwrap();
+        write_all(&mut out, b"zz", Path::new("delayed/d")).unwrap();
         assert_eq!(out, b"zz");
-        assert!(disarm().triggered);
+        assert!(disarm(scope).triggered);
     }
 }

@@ -18,6 +18,16 @@
 //! produced it.  A failed `/swap` leaves the last good model serving and
 //! flips `/health` to `"degraded"` until a later swap succeeds.
 //!
+//! ## Latency
+//!
+//! Accepted sockets set `TCP_NODELAY`, and every response — status line,
+//! headers and body, `503` sheds included — leaves in one write.  A
+//! response written in pieces lets Nagle's algorithm hold the later pieces
+//! until the client's delayed ACK, a fixed ~40 ms stall on every keep-alive
+//! answer.  A `/predict` body is parsed in one pass over its bytes, straight
+//! into the batch matrix; plain decimals take an exact fast path, and any
+//! other field falls back to `str::parse`, with the same values and errors.
+//!
 //! ## Hardening
 //!
 //! The server assumes clients are slow, malicious, or both
@@ -47,6 +57,7 @@
 //!   and returns within [`ServeConfig::drain_deadline`] even if a worker is
 //!   wedged (reported via [`ShutdownReport`]).
 
+use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -325,6 +336,7 @@ impl PredictServer {
 /// Queue-full path: answer `503` and drop the connection without blocking
 /// the accept loop for longer than [`SHED_WRITE_TIMEOUT`].
 fn shed(mut stream: TcpStream) {
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(SHED_WRITE_TIMEOUT));
     let _ = write_response(
         &mut stream,
@@ -547,6 +559,10 @@ fn read_request(
     }))
 }
 
+/// Send the status line, headers and body in one write.  A response split
+/// over several small writes lets Nagle's algorithm hold the later pieces
+/// until the client's delayed ACK, which stalls every keep-alive answer by
+/// about 40 ms on Linux.
 fn write_response(
     stream: &mut TcpStream,
     status: &str,
@@ -554,12 +570,12 @@ fn write_response(
     keep_alive: bool,
 ) -> io::Result<()> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    write!(
-        stream,
-        "HTTP/1.1 {status}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n{body}",
+    let mut response = format!(
+        "HTTP/1.1 {status}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
         body.len()
-    )?;
-    stream.flush()
+    );
+    response.push_str(body);
+    stream.write_all(response.as_bytes())
 }
 
 /// Serve requests on one connection until EOF, `Connection: close`, a
@@ -576,6 +592,7 @@ fn serve_connection(
     // client that stops reading cannot park this worker.
     stream.set_read_timeout(Some(POLL_TICK))?;
     stream.set_write_timeout(Some(config.write_timeout))?;
+    stream.set_nodelay(true)?;
     let mut buf = BufReader::new(stream.try_clone()?);
     let mut stream = stream;
     loop {
@@ -664,43 +681,71 @@ fn predict(
     }
     let predictions = served.model.predict_batch_ctx(&batch, ctx);
 
-    let mut out = String::with_capacity(24 + predictions.len() * 8);
-    out.push_str(&format!("{{\"model_version\":{version},\"predictions\":["));
+    // Writing into a `String` cannot fail, so the `fmt::Result`s are moot.
+    let mut out = String::with_capacity(48 + predictions.len() * 20);
+    let _ = write!(out, "{{\"model_version\":{version},\"predictions\":[");
     for (i, p) in predictions.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format_f64_json(*p));
+        push_f64_json(&mut out, *p);
     }
     out.push_str("]}");
     Ok(out)
 }
 
-/// Parse one sample per line, comma-separated features.
+/// Exact powers of ten: every `10^k` with `k <= 22` is an `f64` without
+/// rounding.
+const POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// Largest mantissa that converts to `f64` exactly.
+const MAX_EXACT_MANTISSA: u64 = 1 << 53;
+
+/// Parse one sample per line, comma-separated features, in one pass over
+/// the bytes, writing each value straight into the matrix's buffer.
+///
+/// Lines go through [`parse_fast_line`] first.  A line it cannot take whole
+/// is parsed again from its start by [`parse_slow_line`], which splits and
+/// parses with `str` methods.  Both accept the same lines and yield the same
+/// bits where they overlap, so the fast path only changes speed: bodies,
+/// values and `400` messages are those of the plain `lines`/`split`/`parse`
+/// reading.
 fn parse_csv_batch(text: &str) -> Result<DenseMatrix, String> {
+    let bytes = text.as_bytes();
     let mut data = Vec::new();
     let mut n_cols = 0usize;
     let mut n_rows = 0usize;
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
+    let mut pos = 0usize;
+    let mut lineno = 0usize;
+    while pos < bytes.len() {
+        lineno += 1;
         let start = data.len();
-        for field in line.split(',') {
-            let value: f64 = field
-                .trim()
-                .parse()
-                .map_err(|_| format!("line {}: bad number {field:?}", lineno + 1))?;
-            data.push(value);
-        }
+        pos = match parse_fast_line(bytes, pos, &mut data) {
+            Some(next) => next,
+            None => {
+                data.truncate(start);
+                let end = bytes[pos..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(bytes.len(), |i| pos + i);
+                // `pos` and `end` sit next to `\n` bytes or at the ends of
+                // the text, so both are char boundaries.
+                parse_slow_line(&text[pos..end], lineno, &mut data)?;
+                end + 1
+            }
+        };
         let width = data.len() - start;
+        if width == 0 {
+            continue; // blank or whitespace-only line
+        }
         if n_rows == 0 {
             n_cols = width;
         } else if width != n_cols {
             return Err(format!(
-                "line {}: expected {n_cols} fields, got {width}",
-                lineno + 1
+                "line {lineno}: expected {n_cols} fields, got {width}"
             ));
         }
         n_rows += 1;
@@ -711,12 +756,87 @@ fn parse_csv_batch(text: &str) -> Result<DenseMatrix, String> {
     DenseMatrix::from_vec(data, n_rows, n_cols).map_err(|e| e.to_string())
 }
 
-/// JSON has no NaN/Infinity literals; encode them as null.
-fn format_f64_json(value: f64) -> String {
+/// ASCII bytes that `str::trim` strips.
+fn is_padding(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\r' | 0x0b | 0x0c)
+}
+
+/// Parse the line starting at `pos` when every field is optional ASCII
+/// padding, an optional `-`, digits, an optional `.` and digits, then
+/// optional padding, with a mantissa of at most 2^53 and at most 22
+/// fraction digits.  Then `mantissa / 10^frac` divides two exact `f64`s,
+/// so the one rounding of the quotient gives the correctly rounded value
+/// that `str::parse` returns (Clinger's fast path).
+///
+/// Returns the index just past the line's `\n` (or the end of the text),
+/// or `None` at the first field outside that grammar, leaving a partial
+/// row in `data` for the caller to drop.
+fn parse_fast_line(bytes: &[u8], mut pos: usize, data: &mut Vec<f64>) -> Option<usize> {
+    let digits_from = |mut pos: usize, mantissa: &mut u64| {
+        let from = pos;
+        while let Some(d) = bytes.get(pos).filter(|b| b.is_ascii_digit()) {
+            *mantissa = mantissa.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
+            pos += 1;
+        }
+        (pos, pos - from)
+    };
+    loop {
+        while bytes.get(pos).copied().is_some_and(is_padding) {
+            pos += 1;
+        }
+        let negative = bytes.get(pos) == Some(&b'-');
+        pos += usize::from(negative);
+        let mut mantissa = 0u64;
+        let (after_int, int_digits) = digits_from(pos, &mut mantissa);
+        pos = after_int;
+        let mut frac_digits = 0;
+        if bytes.get(pos) == Some(&b'.') {
+            (pos, frac_digits) = digits_from(pos + 1, &mut mantissa);
+        }
+        // Past 19 digits the u64 may have wrapped; the bound rejects it.
+        let digits = int_digits + frac_digits;
+        if digits == 0 || digits > 19 || frac_digits > 22 || mantissa > MAX_EXACT_MANTISSA {
+            return None;
+        }
+        let magnitude = mantissa as f64 / POW10[frac_digits];
+        data.push(if negative { -magnitude } else { magnitude });
+        while bytes.get(pos).copied().is_some_and(is_padding) {
+            pos += 1;
+        }
+        match bytes.get(pos) {
+            Some(b',') => pos += 1,
+            Some(b'\n') => return Some(pos + 1),
+            None => return Some(pos),
+            Some(_) => return None,
+        }
+    }
+}
+
+/// Parse one line (without its `\n`) field by field with `str::parse`,
+/// which handles exponents, `+`, long mantissas and Unicode padding.  A
+/// blank line pushes nothing.
+fn parse_slow_line(line: &str, lineno: usize, data: &mut Vec<f64>) -> Result<(), String> {
+    let line = line.trim();
+    if line.is_empty() {
+        return Ok(());
+    }
+    for field in line.split(',') {
+        let value: f64 = field
+            .trim()
+            .parse()
+            .map_err(|_| format!("line {lineno}: bad number {field:?}"))?;
+        data.push(value);
+    }
+    Ok(())
+}
+
+/// Append `value` as a JSON number; JSON has no NaN/Infinity literals, so
+/// those become `null`.
+fn push_f64_json(out: &mut String, value: f64) {
     if value.is_finite() {
-        format!("{value}")
+        let _ = write!(out, "{value}");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
 }
 
@@ -739,7 +859,9 @@ fn error_json(message: &str) -> String {
 }
 
 /// Blocking one-shot HTTP client for tests, examples and benchmarks: sends
-/// `method path` with `body`, returns `(status_code, response_body)`.
+/// `method path` with `body`, returns `(status_code, response_body)`.  The
+/// request leaves in one write with `TCP_NODELAY`, as the server's
+/// responses do.
 ///
 /// # Errors
 /// Fails on connection or protocol errors.
@@ -750,12 +872,13 @@ pub fn http_request(
     body: &str,
 ) -> io::Result<(u16, String)> {
     let mut stream = TcpStream::connect(addr)?;
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: m3\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+    stream.set_nodelay(true)?;
+    let mut request = format!(
+        "{method} {path} HTTP/1.1\r\nHost: m3\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
-    )?;
-    stream.flush()?;
+    );
+    request.push_str(body);
+    stream.write_all(request.as_bytes())?;
     read_response(BufReader::new(stream))
 }
 
@@ -799,21 +922,253 @@ pub fn read_response<R: BufRead>(mut reader: R) -> io::Result<(u16, String)> {
 mod tests {
     use super::*;
 
+    /// The `lines`/`split`/`parse` reading that [`parse_csv_batch`]
+    /// replaced: the reference it must agree with on every body.
+    fn parse_csv_batch_reference(text: &str) -> Result<DenseMatrix, String> {
+        let mut data = Vec::new();
+        let mut n_cols = 0usize;
+        let mut n_rows = 0usize;
+        for (lineno, line) in text.lines().enumerate() {
+            let line = line.trim();
+            if line.is_empty() {
+                continue;
+            }
+            let start = data.len();
+            for field in line.split(',') {
+                let value: f64 = field
+                    .trim()
+                    .parse()
+                    .map_err(|_| format!("line {}: bad number {field:?}", lineno + 1))?;
+                data.push(value);
+            }
+            let width = data.len() - start;
+            if n_rows == 0 {
+                n_cols = width;
+            } else if width != n_cols {
+                return Err(format!(
+                    "line {}: expected {n_cols} fields, got {width}",
+                    lineno + 1
+                ));
+            }
+            n_rows += 1;
+        }
+        if n_rows == 0 {
+            return Err("empty batch".to_string());
+        }
+        DenseMatrix::from_vec(data, n_rows, n_cols).map_err(|e| e.to_string())
+    }
+
+    /// Same `Ok` shape and value bits, or the same `Err` message.
+    fn assert_parses_like_reference(text: &str) {
+        match (parse_csv_batch(text), parse_csv_batch_reference(text)) {
+            (Ok(got), Ok(want)) => {
+                assert_eq!(got.shape(), want.shape(), "shape of {text:?}");
+                let bits = |m: &DenseMatrix| -> Vec<u64> {
+                    m.as_slice().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(&got), bits(&want), "values of {text:?}");
+            }
+            (Err(got), Err(want)) => assert_eq!(got, want, "error for {text:?}"),
+            (got, want) => panic!(
+                "{text:?}: parser gave {:?}, reference gave {:?}",
+                got.map(|m| m.into_vec()),
+                want.map(|m| m.into_vec())
+            ),
+        }
+    }
+
     #[test]
     fn csv_batch_parses_rows_and_rejects_ragged_input() {
         let m = parse_csv_batch("1,2,3\n4,5,6\n").unwrap();
         assert_eq!(m.shape(), (2, 3));
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
-        assert!(parse_csv_batch("1,2\n3\n").is_err());
-        assert!(parse_csv_batch("").is_err());
-        assert!(parse_csv_batch("1,abc\n").is_err());
+        assert_eq!(
+            parse_csv_batch("1,2\n3\n").unwrap_err(),
+            "line 2: expected 2 fields, got 1"
+        );
+        assert_eq!(parse_csv_batch("").unwrap_err(), "empty batch");
+        assert_eq!(
+            parse_csv_batch("1,abc\n").unwrap_err(),
+            "line 1: bad number \"abc\""
+        );
+    }
+
+    #[test]
+    fn csv_parser_matches_the_reference_on_edge_cases() {
+        let cases = [
+            // Signs, zeros and bare points.
+            "-0.0",
+            "0",
+            "-0",
+            "0007,00.50,-000",
+            ".5",
+            "5.",
+            "-.5",
+            "-5.",
+            ".",
+            "-",
+            "-.",
+            "+1",
+            "+.5",
+            "--1",
+            "1e3",
+            "1E-3",
+            "-2.5e+10",
+            "1e",
+            "inf",
+            "-Infinity",
+            "NaN",
+            "1.2.3",
+            "1-2",
+            "0x10",
+            "1_0",
+            // Mantissas around 2^53 and past 15 digits.
+            "9007199254740992",
+            "9007199254740993",
+            "-9007199254740993.5",
+            "1234567890123456",
+            "12345678901234567",
+            "1234567890123456789",
+            "12345678901234567890",
+            "1234567890123456789012345",
+            "0.1234567890123456789012345",
+            "12345.67890123456789012",
+            // Long fractions around the 22-digit exact power-of-ten limit.
+            "0.1000000000000000000000",
+            "0.0000000000000000000001",
+            "0.00000000000000000000001",
+            "0.00000000000000000000000000001",
+            "3.0000000000000000000000000000001",
+            // Line endings, blank lines, trailing line without newline.
+            "1,2\r\n3,4\r\n",
+            "1,2\r\n3,4",
+            "1,2\n\n3,4\n",
+            "\n\n1\n",
+            "1\n  \t \n2",
+            "\r\n",
+            "\n",
+            "  ",
+            "1,2\r",
+            "1\r\r\n2",
+            "1\n2\n\n",
+            // Padding: ASCII, vertical tab, form feed, Unicode no-break space.
+            " 1 , 2 ",
+            "\t1,\t2\t",
+            "1\u{0b},\u{0c}2",
+            "\u{a0}1,2",
+            "1,2\u{a0}",
+            "1,\u{a0}2\u{a0},3",
+            "\u{2003}7\u{3000}",
+            "1 2",
+            "1,,2",
+            "1,2,",
+            ",1",
+            // Ragged rows, empty and garbage bodies.
+            "1,2\n3\n",
+            "1\n2,3\n",
+            "1,2\n3,abc,4\n",
+            "1,2\n3,4,5",
+            "",
+            "abc",
+            "1,2\nabc\n",
+            "é,1",
+            "1,é",
+            "1\n\u{a0}\n2",
+        ];
+        for case in cases {
+            assert_parses_like_reference(case);
+        }
+    }
+
+    #[test]
+    fn csv_parser_matches_the_reference_on_random_bodies() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: u64| {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        const PADDING: [&str; 8] = ["", "", "", " ", "\t", "\r", "\u{a0}", "\u{0b}"];
+        const GARBAGE: [&str; 8] = ["", ".", "-", "abc", "1e", "+", "1.2.3", "NaN"];
+        for _ in 0..4000 {
+            let rows = 1 + next(6);
+            let width = 1 + next(5);
+            let mut body = String::new();
+            for _ in 0..rows {
+                if next(10) == 0 {
+                    body.push_str(PADDING[next(8) as usize]);
+                } else {
+                    let ragged = next(20) == 0;
+                    let fields = if ragged { 1 + next(6) } else { width };
+                    for f in 0..fields {
+                        if f > 0 {
+                            body.push(',');
+                        }
+                        body.push_str(PADDING[next(8) as usize]);
+                        if next(50) == 0 {
+                            body.push_str(GARBAGE[next(8) as usize]);
+                        } else {
+                            match next(10) {
+                                0 => body.push('-'),
+                                1 if next(4) == 0 => body.push('+'),
+                                _ => {}
+                            }
+                            for _ in 0..next(20) {
+                                body.push(char::from(b'0' + next(10) as u8));
+                            }
+                            if next(4) != 0 {
+                                body.push('.');
+                                for _ in 0..next(26) {
+                                    body.push(char::from(b'0' + next(10) as u8));
+                                }
+                            }
+                            if next(20) == 0 {
+                                let _ = write!(body, "e{}", next(40) as i64 - 20);
+                            }
+                        }
+                        body.push_str(PADDING[next(8) as usize]);
+                    }
+                }
+                body.push_str(if next(3) == 0 { "\r\n" } else { "\n" });
+            }
+            if next(3) == 0 {
+                body.pop();
+            }
+            assert_parses_like_reference(&body);
+        }
+    }
+
+    #[test]
+    fn csv_parser_rounds_plain_decimals_exactly() {
+        // Fast-path values only, including mantissas right at 2^53, against
+        // `str::parse` bit for bit.
+        let mut state = 7u64;
+        for _ in 0..20_000 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let mantissa = (state >> 11) % (MAX_EXACT_MANTISSA + 1);
+            let frac = (state % 23) as usize;
+            let digits = format!("{mantissa:0>width$}", width = frac + 1);
+            let (int, fraction) = digits.split_at(digits.len() - frac);
+            let text = format!("-{int}.{fraction}");
+            let parsed = parse_csv_batch(&text).unwrap();
+            let want: f64 = text.parse().unwrap();
+            assert_eq!(parsed.as_slice()[0].to_bits(), want.to_bits(), "{text}");
+        }
     }
 
     #[test]
     fn json_floats_encode_non_finite_as_null() {
-        assert_eq!(format_f64_json(1.5), "1.5");
-        assert_eq!(format_f64_json(f64::NAN), "null");
-        assert_eq!(format_f64_json(f64::INFINITY), "null");
+        let mut out = String::new();
+        for value in [1.5, f64::NAN, f64::INFINITY, -0.0, 0.1 + 0.2] {
+            push_f64_json(&mut out, value);
+            out.push(' ');
+        }
+        assert_eq!(out, "1.5 null null -0 0.30000000000000004 ");
     }
 
     #[test]

@@ -456,3 +456,35 @@ fn keep_alive_connections_answer_many_requests_then_respect_close() {
     assert!(rest.is_empty(), "connection not closed after close request");
     server.shutdown();
 }
+
+#[test]
+fn keep_alive_round_trips_do_not_stall_on_delayed_acks() {
+    // A clean client: TCP_NODELAY and each request in one write, so any
+    // stall is the server's.  A response sent in several pieces waits for
+    // the client's delayed ACK, at least 40 ms on Linux.
+    let (server, _dir) = serve(test_config());
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let predict: &[u8] =
+        b"POST /predict HTTP/1.1\r\nHost: m3\r\nContent-Length: 8\r\n\r\n1,2,3,4\n";
+    let health: &[u8] = b"GET /health HTTP/1.1\r\nHost: m3\r\nContent-Length: 0\r\n\r\n";
+    let mut round_trips = Vec::new();
+    // 50 predicts and 10 health checks, interleaved.
+    for i in 0..60 {
+        let request = if i % 6 == 5 { health } else { predict };
+        let start = Instant::now();
+        writer.write_all(request).unwrap();
+        let (status, body) = read_response(&mut reader).unwrap();
+        round_trips.push(start.elapsed());
+        assert_eq!(status, 200, "body: {body}");
+    }
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median keep-alive round trip {median:?}: responses are stalling"
+    );
+    server.shutdown();
+}

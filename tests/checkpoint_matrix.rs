@@ -17,7 +17,6 @@
 //!   non-finite state.
 
 use std::path::Path;
-use std::sync::{Mutex, PoisonError};
 
 use m3::core::ckpt::{
     checkpoint_path, find_latest_intact, list_checkpoints, write_checkpoint, CheckpointFile,
@@ -29,13 +28,6 @@ use m3::ml::MlError;
 use m3::prelude::*;
 
 const SEED: u64 = 0x5eed_c4c7;
-
-/// The fault layer is process-global state; fault-arming tests serialise.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Dense classification fixture (the `sgd_convergence` battery's).
 fn dense_problem(n: usize) -> (DenseMatrix, Vec<f64>) {
@@ -113,11 +105,14 @@ fn sample_progress() -> TrainProgress {
 /// Durable steps of one clean checkpoint publish, restricted to `op`.
 fn count_publish_steps(op: Option<FaultOp>) -> u64 {
     let dir = tempfile::tempdir().unwrap();
-    faults::arm(FaultPlan {
-        trigger_at: None,
-        kind: FaultKind::Fail,
-        op,
-    });
+    faults::arm(
+        dir.path(),
+        FaultPlan {
+            trigger_at: None,
+            kind: FaultKind::Fail,
+            op,
+        },
+    );
     write_checkpoint(
         checkpoint_path(dir.path(), 0),
         &sample_progress(),
@@ -125,7 +120,7 @@ fn count_publish_steps(op: Option<FaultOp>) -> u64 {
         &[0.9, 0.5],
     )
     .unwrap();
-    let report = faults::disarm();
+    let report = faults::disarm(dir.path());
     assert!(!report.triggered);
     report.matching_steps
 }
@@ -139,14 +134,17 @@ fn run_publish_fault(step: u64, kind: FaultKind, op: Option<FaultOp>) {
     let prior = checkpoint_path(dir.path(), 0);
     write_checkpoint(&prior, &sample_progress(), &params, &history).unwrap();
 
-    faults::arm(FaultPlan {
-        trigger_at: Some(step),
-        kind,
-        op,
-    });
+    faults::arm(
+        dir.path(),
+        FaultPlan {
+            trigger_at: Some(step),
+            kind,
+            op,
+        },
+    );
     let next = checkpoint_path(dir.path(), 1);
     let result = write_checkpoint(&next, &sample_progress(), &params, &history);
-    let report = faults::disarm();
+    let report = faults::disarm(dir.path());
     assert!(report.triggered, "{kind:?}: step {step} never ran");
 
     let err = result.expect_err(&format!(
@@ -179,7 +177,6 @@ fn run_publish_fault(step: u64, kind: FaultKind, op: Option<FaultOp>) {
 
 #[test]
 fn every_failed_publish_step_leaves_prior_checkpoints_intact() {
-    let _guard = serial();
     let steps = count_publish_steps(None);
     assert!(steps >= 5, "expected several durable steps, saw {steps}");
     for step in 0..steps {
@@ -194,12 +191,11 @@ fn every_failed_publish_step_leaves_prior_checkpoints_intact() {
 
 #[test]
 fn fault_log_names_every_durable_step_of_a_publish() {
-    let _guard = serial();
     let dir = tempfile::tempdir().unwrap();
     let path = checkpoint_path(dir.path(), 0);
-    faults::arm(FaultPlan::count_only());
+    faults::arm(dir.path(), FaultPlan::count_only());
     write_checkpoint(&path, &sample_progress(), &[1.0, 2.0], &[]).unwrap();
-    let report = faults::disarm();
+    let report = faults::disarm(dir.path());
     let ops: Vec<FaultOp> = report.log.iter().map(|s| s.op).collect();
     for needed in [
         FaultOp::Write,
@@ -228,7 +224,6 @@ fn fault_log_names_every_durable_step_of_a_publish() {
 
 #[test]
 fn training_surfaces_checkpoint_faults_as_typed_errors() {
-    let _guard = serial();
     let (x, y) = dense_problem(200);
     let ctx = ExecContext::serial();
     let dir = tempfile::tempdir().unwrap();
@@ -236,18 +231,21 @@ fn training_surfaces_checkpoint_faults_as_typed_errors() {
 
     // Let the first publish succeed, then fail a durable step of the second.
     let steps = count_publish_steps(None);
-    faults::arm(FaultPlan {
-        trigger_at: Some(steps + 2),
-        kind: FaultKind::Fail,
-        op: None,
-    });
+    faults::arm(
+        dir.path(),
+        FaultPlan {
+            trigger_at: Some(steps + 2),
+            kind: FaultKind::Fail,
+            op: None,
+        },
+    );
     let result = Estimator::fit(
         &trainer_with(sgd_config(6).checkpoint(cfg.clone())),
         &x,
         &y,
         &ctx,
     );
-    let report = faults::disarm();
+    let report = faults::disarm(dir.path());
     assert!(report.triggered);
     let err = result.expect_err("fit must fail when a checkpoint write fails");
     assert!(

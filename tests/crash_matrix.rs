@@ -9,24 +9,16 @@
 //! gone, and whatever sits at the artifact path must still pass a full
 //! checksum verification.
 //!
-//! The fault plan is process-global, so every test here serialises on one
-//! mutex.
+//! Each test arms its fault plans scoped to its own temporary directory,
+//! so the tests run concurrently without seeing each other's faults.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, PoisonError};
 
 use m3::core::builder::DatasetBuilder;
 use m3::core::faults::{self, FaultKind, FaultOp, FaultPlan};
 use m3::core::{CoreError, CsrFile, CsrFileBuilder, Dataset, ModelFile};
 use m3::ml::LinearModel;
 use m3::serve::ModelRegistry;
-
-/// The fault layer is process-global state; one case at a time.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// One artifact family under test: how to build version `v` of it at
 /// `path`, and how to reopen + checksum-verify whatever is on disk.
@@ -127,13 +119,16 @@ const FAMILIES: [Family; 4] = [
 fn count_steps(family: &Family, op: Option<FaultOp>) -> u64 {
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().join("count.bin");
-    faults::arm(FaultPlan {
-        trigger_at: None,
-        kind: FaultKind::Fail,
-        op,
-    });
+    faults::arm(
+        dir.path(),
+        FaultPlan {
+            trigger_at: None,
+            kind: FaultKind::Fail,
+            op,
+        },
+    );
     let built = (family.build)(&path, 1);
-    let report = faults::disarm();
+    let report = faults::disarm(dir.path());
     built.unwrap_or_else(|e| panic!("{}: counting build failed: {e}", family.name));
     assert!(!report.triggered);
     report.matching_steps
@@ -202,13 +197,16 @@ fn run_matrix(family: &Family, kind: FaultKind, op: Option<FaultOp>) {
     for step in 0..steps {
         // Rebuild over an existing good artifact.
         std::fs::write(&path, &old_bytes).unwrap();
-        faults::arm(FaultPlan {
-            trigger_at: Some(step),
-            kind,
-            op,
-        });
+        faults::arm(
+            dir.path(),
+            FaultPlan {
+                trigger_at: Some(step),
+                kind,
+                op,
+            },
+        );
         let result = (family.build)(&path, 2);
-        let report = faults::disarm();
+        let report = faults::disarm(dir.path());
         assert!(report.triggered, "{}: step {step} never ran", family.name);
         let err = result.expect_err(&format!(
             "{}: build survived an injected fault at step {step}",
@@ -230,13 +228,16 @@ fn run_matrix(family: &Family, kind: FaultKind, op: Option<FaultOp>) {
         // Fresh build with no previous artifact: the path must stay absent
         // unless the fault landed after the publish.
         let fresh = dir.path().join(format!("fresh-{step}.bin"));
-        faults::arm(FaultPlan {
-            trigger_at: Some(step),
-            kind,
-            op,
-        });
+        faults::arm(
+            dir.path(),
+            FaultPlan {
+                trigger_at: Some(step),
+                kind,
+                op,
+            },
+        );
         let result = (family.build)(&fresh, 2);
-        faults::disarm();
+        faults::disarm(dir.path());
         assert!(result.is_err());
         assert_consistent(
             family,
@@ -255,7 +256,6 @@ fn run_matrix(family: &Family, kind: FaultKind, op: Option<FaultOp>) {
 
 #[test]
 fn every_failed_step_leaves_an_intact_or_absent_artifact() {
-    let _guard = serial();
     for family in &FAMILIES {
         run_matrix(family, FaultKind::Fail, None);
     }
@@ -263,20 +263,22 @@ fn every_failed_step_leaves_an_intact_or_absent_artifact() {
 
 #[test]
 fn torn_writes_never_publish_a_corrupt_artifact() {
-    let _guard = serial();
     for family in &FAMILIES {
         // Only buffered/direct writes can tear; mapped builders (csr,
         // model) may have no Write steps after creation — skip those.
         let writes = {
             let dir = tempfile::tempdir().unwrap();
             let path = dir.path().join("w.bin");
-            faults::arm(FaultPlan {
-                trigger_at: None,
-                kind: FaultKind::Fail,
-                op: Some(FaultOp::Write),
-            });
+            faults::arm(
+                dir.path(),
+                FaultPlan {
+                    trigger_at: None,
+                    kind: FaultKind::Fail,
+                    op: Some(FaultOp::Write),
+                },
+            );
             let built = (family.build)(&path, 1);
-            let report = faults::disarm();
+            let report = faults::disarm(dir.path());
             built.unwrap();
             report.matching_steps
         };
@@ -288,14 +290,13 @@ fn torn_writes_never_publish_a_corrupt_artifact() {
 
 #[test]
 fn reopening_after_every_fault_yields_typed_errors_never_panics() {
-    let _guard = serial();
     // Interrupt a dataset build at its very first step, then throw every
     // reader at the leftovers: all must return typed errors.
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().join("never-built.m3ds");
-    faults::arm(FaultPlan::fail_at(0, None));
+    faults::arm(dir.path(), FaultPlan::fail_at(0, None));
     assert!(build_dataset(&path, 1).is_err());
-    faults::disarm();
+    faults::disarm(dir.path());
     assert!(!path.exists());
     assert!(matches!(
         Dataset::open(&path),
@@ -308,7 +309,6 @@ fn reopening_after_every_fault_yields_typed_errors_never_panics() {
 
 #[test]
 fn truncated_or_corrupt_graph_files_are_refused() {
-    let _guard = serial();
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().join("adjacency.m3g");
     build_graph(&path, 1).unwrap();
@@ -347,7 +347,6 @@ fn truncated_or_corrupt_graph_files_are_refused() {
 
 #[test]
 fn corrupted_sections_are_caught_before_the_registry_publishes() {
-    let _guard = serial();
     let dir = tempfile::tempdir().unwrap();
     let good = dir.path().join("good.m3m");
     let corrupt = dir.path().join("corrupt.m3m");
@@ -401,28 +400,29 @@ fn corrupted_sections_are_caught_before_the_registry_publishes() {
 
 #[test]
 fn delay_faults_slow_but_do_not_break_persistence() {
-    let _guard = serial();
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().join("slow.m3ds");
-    faults::arm(FaultPlan {
-        trigger_at: Some(0),
-        kind: FaultKind::Delay(std::time::Duration::from_millis(5)),
-        op: None,
-    });
+    faults::arm(
+        dir.path(),
+        FaultPlan {
+            trigger_at: Some(0),
+            kind: FaultKind::Delay(std::time::Duration::from_millis(5)),
+            op: None,
+        },
+    );
     build_dataset(&path, 1).unwrap();
-    let report = faults::disarm();
+    let report = faults::disarm(dir.path());
     assert!(report.triggered);
     verify_dataset(&path).unwrap();
 }
 
 #[test]
 fn fault_log_names_every_durable_step_of_a_model_save() {
-    let _guard = serial();
     let dir = tempfile::tempdir().unwrap();
     let path: PathBuf = dir.path().join("logged.m3m");
-    faults::arm(FaultPlan::count_only());
+    faults::arm(dir.path(), FaultPlan::count_only());
     build_model(&path, 1).unwrap();
-    let report = faults::disarm();
+    let report = faults::disarm(dir.path());
     let ops: Vec<FaultOp> = report.log.iter().map(|s| s.op).collect();
     // A mapped-builder save: pre-size, msync, fsync, publish, durable dir.
     for needed in [
