@@ -2,28 +2,50 @@
 //! `m3-core` [`GraphFile`] container.
 //!
 //! The generator never materialises the graph in RAM.  It runs in two
-//! external passes over sibling spill files:
+//! external passes over one spill file next to the output.  Steps 1 and 2a
+//! run on every executor of an [`ExecContext`]:
 //!
 //! 1. **Sample** — every requested edge is a pure function of
 //!    `(seed, edge index)` (a SplitMix64 stream drives the R-MAT quadrant
-//!    recursion), so generation is deterministic and restartable.  Each
-//!    surviving edge is packed as `(src << 32) | dst` and appended to one of
-//!    a fixed set of spill buckets partitioned by the high bits of `src`;
-//!    bucket fan-out is sized from [`RmatConfig::mem_budget`] and the
-//!    configured skew so the largest bucket is expected to fit the budget.
-//! 2. **Sort + publish** — each bucket is loaded alone, sorted, deduplicated
-//!    and written back, which yields the exact final edge count; a second
-//!    sweep over the (now sorted) buckets streams rows into
-//!    [`GraphFileBuilder`], which publishes the `M3GRPH01` artifact crash-safely.
+//!    recursion), so generation is deterministic and restartable.  Workers
+//!    claim fixed blocks of edge indices from a shared cursor.  Each worker
+//!    synthesises its block, drops self-loops, and partitions the packed
+//!    `(src << 32) | dst` pairs by the high bits of `src`.  It then appends
+//!    each bucket's run to that bucket's pending buffer; a full buffer is
+//!    written to a fresh extent at the end of the spill file.  Which worker
+//!    appends first is a race, but a bucket's *contents* are not, and step
+//!    2a sorts them anyway.
+//! 2. **Sort + publish** — (a) workers claim whole buckets.  Each bucket is
+//!    loaded alone (its extents plus its pending edges), sorted,
+//!    deduplicated and written back over its own extents, which yields the
+//!    exact final edge count.  (b) One serial forward sweep over the sorted
+//!    buckets streams rows into [`GraphFileBuilder`], which publishes the
+//!    `M3GRPH01` artifact crash-safely.
 //!
-//! Peak memory is therefore `O(largest bucket)`, independent of the total
-//! edge count, and the output file appears atomically or not at all.
+//! The published bytes depend only on the [`RmatConfig`] — never on the
+//! thread count or the bucket fan-out.  The fan-out is sized from
+//! [`RmatConfig::mem_budget`] divided by the worker count and from the
+//! configured skew, so the buckets that step 2a sorts at the same time are
+//! expected to fit the budget together.  Each bucket's pending buffer holds
+//! at most its share of the budget (clamped to 4–64 KiB).  Peak memory is
+//! therefore about twice `mem_budget` (pending buffers plus the buckets
+//! being sorted) plus 2 MiB of sample-block buffers per worker.  It does
+//! not grow with the edge count, the spill file holds one copy of the
+//! edges, and the output file appears atomically or not at all.
+//!
+//! Spill writes go through [`m3_core::faults`].  The first failing worker
+//! stops the others from claiming more work, its error is returned, and
+//! the spill file is removed either way.
 
 use std::fs;
-use std::io::{Read, Write};
+use std::io::Write;
+use std::ops::Range;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
-use m3_core::{GraphFile, GraphFileBuilder};
+use m3_core::{faults, ExecContext, GraphFile, GraphFileBuilder};
 
 use crate::{DataError, Result};
 
@@ -169,6 +191,17 @@ fn unit_f64(x: u64) -> f64 {
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
+/// The `(row, col)` bits of the quadrant `r` falls in: `[0, a)` top-left,
+/// `[a, a+b)` top-right, `[a+b, a+b+c)` bottom-left, the rest bottom-right.
+/// Written as plain comparisons combined without short-circuiting, so the
+/// sampling loop has no data-dependent branch.
+#[inline]
+fn quadrant(r: f64, a: f64, ab: f64, abc: f64) -> (u32, u32) {
+    let row_bit = r >= ab;
+    let col_bit = ((r >= a) & (r < ab)) | (r >= abc);
+    (row_bit as u32, col_bit as u32)
+}
+
 /// One R-MAT sample: recurse `scale` levels, choosing a quadrant per level.
 #[inline]
 fn rmat_edge(cfg: &RmatConfig, edge_index: u64) -> (u32, u32) {
@@ -181,189 +214,404 @@ fn rmat_edge(cfg: &RmatConfig, edge_index: u64) -> (u32, u32) {
     let mut dst = 0u32;
     for _ in 0..cfg.scale {
         let r = unit_f64(splitmix64(&mut state));
-        let (row_bit, col_bit) = if r < cfg.a {
-            (0, 0)
-        } else if r < ab {
-            (0, 1)
-        } else if r < abc {
-            (1, 0)
-        } else {
-            (1, 1)
-        };
+        let (row_bit, col_bit) = quadrant(r, cfg.a, ab, abc);
         src = (src << 1) | row_bit;
         dst = (dst << 1) | col_bit;
     }
     (src, dst)
 }
 
-/// Spill bucket set partitioned by the high bits of `src`.  Files live in a
-/// sibling directory of the output and are removed on drop, success or not.
-struct SpillBuckets {
-    dir: PathBuf,
-    shift: u32,
-    pending: Vec<Vec<u64>>,
+/// Edge indices a pass-1 worker claims at a time.  Fixed, so neither the
+/// work split nor the spill contents depend on the thread count.
+const SAMPLE_BLOCK: u64 = 64 << 10;
+
+/// Bounds on how many packed edges a bucket buffers before writing them
+/// out (4 KiB to 64 KiB); within them, all buffers together fit the sort
+/// budget.
+const FLUSH_EDGES: std::ops::RangeInclusive<usize> = 512..=8 << 10;
+
+/// Edges moved per read or write of the spill file (64 KiB), so a bucket
+/// is never held twice (once packed, once as bytes).
+const IO_CHUNK_EDGES: usize = 8 << 10;
+
+/// One spill bucket: edges not yet written, and where the written ones are.
+struct Bucket {
+    pending: Vec<u64>,
+    /// Byte ranges of the spill file holding this bucket's edges, in order.
+    extents: Vec<Range<u64>>,
 }
 
-/// Flush a pending buffer past this many packed edges (64 KiB).
-const FLUSH_EDGES: usize = 8 << 10;
+/// Spill buckets partitioned by the high bits of `src`, all stored in one
+/// sibling file of the output (removed on drop, success or not).  Writers
+/// reserve space at the end of the file with an atomic cursor and write
+/// there positionally, so pass-1 workers flush concurrently, and each
+/// bucket's pending buffer has its own lock.
+struct SpillBuckets {
+    path: PathBuf,
+    file: fs::File,
+    end: AtomicU64,
+    shift: u32,
+    flush_edges: usize,
+    buckets: Vec<Mutex<Bucket>>,
+}
+
+/// `Write` at an advancing offset of a shared file.
+struct WriteAt<'a> {
+    file: &'a fs::File,
+    offset: u64,
+}
+
+impl Write for WriteAt<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = self.file.write_at(buf, self.offset)?;
+        self.offset += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
 
 impl SpillBuckets {
-    fn create(output: &Path, n_buckets: usize, shift: u32) -> Result<Self> {
+    fn create(output: &Path, n_buckets: usize, shift: u32, mem_budget: usize) -> Result<Self> {
         let mut name = output
             .file_name()
             .map(|n| n.to_os_string())
             .unwrap_or_else(|| "graph".into());
         name.push(".spill");
-        let dir = output.with_file_name(name);
-        // A stale directory from a crashed run would corrupt the edge counts.
-        if dir.exists() {
-            fs::remove_dir_all(&dir)?;
+        let path = output.with_file_name(name);
+        // Earlier versions spilled into a directory of this name; clear one
+        // left by a crashed run.  A stale file is truncated below.
+        if path.is_dir() {
+            fs::remove_dir_all(&path)?;
         }
-        fs::create_dir_all(&dir)?;
+        let file = fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&path)?;
+        let flush_edges =
+            (mem_budget / 8 / n_buckets).clamp(*FLUSH_EDGES.start(), *FLUSH_EDGES.end());
         Ok(SpillBuckets {
-            dir,
+            path,
+            file,
+            end: AtomicU64::new(0),
             shift,
-            pending: vec![Vec::new(); n_buckets],
+            flush_edges,
+            buckets: (0..n_buckets)
+                .map(|_| {
+                    Mutex::new(Bucket {
+                        pending: Vec::with_capacity(flush_edges),
+                        extents: Vec::new(),
+                    })
+                })
+                .collect(),
         })
     }
 
-    fn bucket_path(&self, bucket: usize) -> PathBuf {
-        self.dir.join(format!("bucket{bucket:04}.edges"))
-    }
-
-    fn push(&mut self, src: u32, dst: u32) -> Result<()> {
-        let bucket = (src >> self.shift) as usize;
-        self.pending[bucket].push(((src as u64) << 32) | dst as u64);
-        if self.pending[bucket].len() >= FLUSH_EDGES {
-            self.flush(bucket)?;
-        }
-        Ok(())
-    }
-
-    fn flush(&mut self, bucket: usize) -> Result<()> {
-        if self.pending[bucket].is_empty() {
-            return Ok(());
-        }
-        let mut bytes = Vec::with_capacity(self.pending[bucket].len() * 8);
-        for packed in self.pending[bucket].drain(..) {
-            bytes.extend_from_slice(&packed.to_le_bytes());
-        }
-        let mut file = fs::OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(self.bucket_path(bucket))?;
-        file.write_all(&bytes)?;
-        Ok(())
-    }
-
-    fn flush_all(&mut self) -> Result<()> {
-        for bucket in 0..self.pending.len() {
-            self.flush(bucket)?;
-        }
-        Ok(())
-    }
-
-    /// Load one bucket fully (empty vec if it was never written).
-    fn load(&self, bucket: usize) -> Result<Vec<u64>> {
-        let path = self.bucket_path(bucket);
-        let mut raw = Vec::new();
-        match fs::File::open(&path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut raw)?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e.into()),
-        }
-        let mut edges = Vec::with_capacity(raw.len() / 8);
-        for chunk in raw.chunks_exact(8) {
-            edges.push(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-        }
-        Ok(edges)
-    }
-
-    /// Replace one bucket's contents with an already-sorted edge list.
-    fn store(&self, bucket: usize, edges: &[u64]) -> Result<()> {
-        let mut bytes = Vec::with_capacity(edges.len() * 8);
-        for packed in edges {
-            bytes.extend_from_slice(&packed.to_le_bytes());
-        }
-        fs::write(self.bucket_path(bucket), bytes)?;
-        Ok(())
-    }
-
     fn n_buckets(&self) -> usize {
-        self.pending.len()
+        self.buckets.len()
+    }
+
+    fn bucket_of(&self, packed: u64) -> usize {
+        (packed >> (32 + self.shift)) as usize
+    }
+
+    fn lock(&self, bucket: usize) -> std::sync::MutexGuard<'_, Bucket> {
+        // A worker that panicked mid-append is re-raised by the pool; the
+        // bucket itself stays a valid edge list.
+        self.buckets[bucket]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Edges a bucket holds, pending and written.
+    fn len(&self, bucket: usize) -> usize {
+        let guard = self.lock(bucket);
+        let written: u64 = guard.extents.iter().map(|e| e.end - e.start).sum();
+        guard.pending.len() + written as usize / 8
+    }
+
+    /// Replace `edges` with a bucket's pending edges and take its extents,
+    /// leaving the bucket empty (its buffer keeps its allocation).
+    fn take_into(&self, bucket: usize, edges: &mut Vec<u64>) -> Vec<Range<u64>> {
+        let mut guard = self.lock(bucket);
+        edges.clear();
+        edges.append(&mut guard.pending);
+        std::mem::take(&mut guard.extents)
+    }
+
+    /// Partition a block of packed edges by bucket (a counting sort through
+    /// `scratch`) and append each bucket's run to its pending buffer.  A
+    /// buffer the run would push past `flush_edges` is written out first,
+    /// and a run of `flush_edges` or more is written out directly.
+    fn append(&self, edges: &[u64], scratch: &mut Vec<u64>) -> Result<()> {
+        let n_buckets = self.n_buckets();
+        let mut bounds = vec![0usize; n_buckets + 1];
+        for &packed in edges {
+            bounds[self.bucket_of(packed) + 1] += 1;
+        }
+        for bucket in 0..n_buckets {
+            bounds[bucket + 1] += bounds[bucket];
+        }
+        let mut next = bounds.clone();
+        scratch.resize(edges.len(), 0);
+        for &packed in edges {
+            let slot = &mut next[self.bucket_of(packed)];
+            scratch[*slot] = packed;
+            *slot += 1;
+        }
+        for bucket in 0..n_buckets {
+            let run = &scratch[bounds[bucket]..bounds[bucket + 1]];
+            if run.is_empty() {
+                continue;
+            }
+            let mut guard = self.lock(bucket);
+            let Bucket { pending, extents } = &mut *guard;
+            // Never grow the buffer: buffers reallocated on pool threads
+            // leave freed memory resident in those threads' arenas.
+            if pending.len() + run.len() > self.flush_edges && !pending.is_empty() {
+                extents.push(self.write_new(pending)?);
+                pending.clear();
+            }
+            if run.len() >= self.flush_edges {
+                extents.push(self.write_new(run)?);
+            } else {
+                pending.extend_from_slice(run);
+            }
+        }
+        Ok(())
+    }
+
+    /// Write `edges` at `offset` through the fault layer.
+    fn write_at(&self, offset: u64, edges: &[u64]) -> Result<()> {
+        let mut out = WriteAt {
+            file: &self.file,
+            offset,
+        };
+        let mut bytes = Vec::with_capacity(edges.len().min(IO_CHUNK_EDGES) * 8);
+        for chunk in edges.chunks(IO_CHUNK_EDGES) {
+            bytes.clear();
+            for packed in chunk {
+                bytes.extend_from_slice(&packed.to_le_bytes());
+            }
+            faults::write_all(&mut out, &bytes, &self.path)?;
+        }
+        Ok(())
+    }
+
+    /// Write `edges` at the end of the file; returns the extent they fill.
+    fn write_new(&self, edges: &[u64]) -> Result<Range<u64>> {
+        let len = edges.len() as u64 * 8;
+        let offset = self.end.fetch_add(len, Ordering::Relaxed);
+        self.write_at(offset, edges)?;
+        Ok(offset..offset + len)
+    }
+
+    /// Write `edges` over a bucket's old `extents`, in order, and append
+    /// what does not fit; returns the extents now holding `edges`.
+    /// Rewriting cached pages in place is far cheaper than truncating or
+    /// unlinking and writing afresh, and keeps the file at one copy of the
+    /// edges.
+    fn store(&self, extents: &[Range<u64>], edges: &[u64]) -> Result<Vec<Range<u64>>> {
+        let mut rest = edges;
+        let mut stored = Vec::new();
+        for extent in extents {
+            if rest.is_empty() {
+                break;
+            }
+            let n = (((extent.end - extent.start) / 8) as usize).min(rest.len());
+            self.write_at(extent.start, &rest[..n])?;
+            stored.push(extent.start..extent.start + n as u64 * 8);
+            rest = &rest[n..];
+        }
+        if !rest.is_empty() {
+            stored.push(self.write_new(rest)?);
+        }
+        Ok(stored)
+    }
+
+    /// Append the edges stored in `extents` to `edges`.
+    fn read(&self, extents: &[Range<u64>], edges: &mut Vec<u64>) -> Result<()> {
+        let mut bytes = vec![0u8; IO_CHUNK_EDGES * 8];
+        for extent in extents {
+            let mut offset = extent.start;
+            while offset < extent.end {
+                let chunk =
+                    &mut bytes[..(extent.end - offset).min(IO_CHUNK_EDGES as u64 * 8) as usize];
+                self.file.read_exact_at(chunk, offset)?;
+                edges.extend(
+                    chunk
+                        .chunks_exact(8)
+                        .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte chunk"))),
+                );
+                offset += chunk.len() as u64;
+            }
+        }
+        Ok(())
     }
 }
 
 impl Drop for SpillBuckets {
     fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.dir);
+        let _ = fs::remove_file(&self.path);
     }
 }
 
 /// Pick the bucket fan-out: smallest power of two whose expected *largest*
 /// bucket (the low-id hot bucket, shrinking by the dominant row marginal per
-/// partition level) fits the sort budget.  Capped at 1 024 buckets.
-fn bucket_levels(cfg: &RmatConfig) -> u32 {
+/// partition level) fits one worker's share of the sort budget, so
+/// `workers` buckets sorted at once fit it together.  Capped at 1 024
+/// buckets.
+fn bucket_levels(cfg: &RmatConfig, workers: usize) -> u32 {
     let samples = cfg
         .n_edges
         .saturating_mul(if cfg.symmetric { 2 } else { 1 });
     let total_bytes = samples.saturating_mul(8) as f64;
+    let budget = (cfg.mem_budget / workers.max(1)) as f64;
     let skew = (cfg.a + cfg.b).max(cfg.c + cfg.d).max(0.5);
     let mut levels = 0u32;
     let mut hot = total_bytes;
-    while hot > cfg.mem_budget as f64 && levels < cfg.scale.min(10) {
+    while hot > budget && levels < cfg.scale.min(10) {
         hot *= skew;
         levels += 1;
     }
     levels
 }
 
+/// Run `worker` on up to every executor of `ctx`, never more than there are
+/// blocks.  Workers pull `block`-sized ranges of `0..n` from a shared cursor
+/// through the `claim` closure they are handed.  The first error stops
+/// every worker from claiming more and is returned once all have drained.
+///
+/// Each worker gets its own `scratch`, made here on the calling thread:
+/// memory that a pool thread allocates stays resident in that thread's
+/// allocator arena after it is freed, long after the pool is gone.
+fn run_claiming<S, W>(
+    ctx: &ExecContext,
+    n: u64,
+    block: u64,
+    scratch: impl Fn() -> S,
+    worker: W,
+) -> Result<()>
+where
+    S: Send,
+    W: Fn(&mut S, &mut dyn FnMut() -> Option<Range<u64>>) -> Result<()> + Sync,
+{
+    let cursor = AtomicU64::new(0);
+    let stop = AtomicBool::new(false);
+    let first_error = Mutex::new(None);
+    let blocks = usize::try_from(n.div_ceil(block)).unwrap_or(usize::MAX);
+    let threads = ctx.resolve_threads().min(blocks);
+    let scratch = Mutex::new((0..threads).map(|_| scratch()).collect::<Vec<S>>());
+    ctx.run_epoch_workers(threads, || {
+        let mut mine = scratch
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop()
+            .expect("run_epoch_workers starts at most `threads` executors");
+        let mut claim = || {
+            if stop.load(Ordering::Relaxed) {
+                return None;
+            }
+            let start = cursor.fetch_add(block, Ordering::Relaxed);
+            (start < n).then(|| start..n.min(start + block))
+        };
+        if let Err(e) = worker(&mut mine, &mut claim) {
+            stop.store(true, Ordering::Relaxed);
+            first_error
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get_or_insert(e);
+        }
+    });
+    first_error
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .map_or(Ok(()), Err)
+}
+
 /// Generate an R-MAT graph and publish it at `path` as an `M3GRPH01`
-/// container, returning what was written.  See the module docs for the
-/// two-pass external pipeline; peak memory tracks
-/// [`RmatConfig::mem_budget`], not the edge count.
+/// container, returning what was written.  Runs on a default
+/// [`ExecContext`] (every hardware thread); see [`generate_rmat_ctx`].
 pub fn generate_rmat(path: impl AsRef<Path>, cfg: &RmatConfig) -> Result<RmatSummary> {
+    generate_rmat_ctx(path, cfg, &ExecContext::new())
+}
+
+/// [`generate_rmat`] on the executors of `ctx`.  See the module docs for
+/// the two-pass external pipeline; peak memory tracks
+/// [`RmatConfig::mem_budget`], not the edge count, and the published bytes
+/// are the same for every thread count.
+pub fn generate_rmat_ctx(
+    path: impl AsRef<Path>,
+    cfg: &RmatConfig,
+    ctx: &ExecContext,
+) -> Result<RmatSummary> {
     let path = path.as_ref();
     cfg.validate()?;
     let n_nodes = cfg.n_nodes();
 
-    let levels = bucket_levels(cfg);
+    let levels = bucket_levels(cfg, ctx.resolve_threads());
     let n_buckets = 1usize << levels;
-    let shift = cfg.scale - levels;
-    let mut spill = SpillBuckets::create(path, n_buckets, shift)?;
+    let spill = SpillBuckets::create(path, n_buckets, cfg.scale - levels, cfg.mem_budget)?;
 
     // Pass 1: sample edges, drop self-loops, spill packed (src, dst) pairs.
-    let mut self_loops = 0u64;
-    for i in 0..cfg.n_edges {
-        let (src, dst) = rmat_edge(cfg, i);
-        if src == dst {
-            self_loops += 1;
-            continue;
-        }
-        spill.push(src, dst)?;
-        if cfg.symmetric {
-            spill.push(dst, src)?;
-        }
-    }
-    spill.flush_all()?;
+    let self_loops = AtomicU64::new(0);
+    let buffers = || {
+        let edges = 2 * SAMPLE_BLOCK as usize;
+        (Vec::with_capacity(edges), Vec::with_capacity(edges))
+    };
+    run_claiming(
+        ctx,
+        cfg.n_edges,
+        SAMPLE_BLOCK,
+        buffers,
+        |(sampled, scratch), claim| {
+            let mut loops = 0u64;
+            while let Some(indices) = claim() {
+                sampled.clear();
+                for i in indices {
+                    let (src, dst) = rmat_edge(cfg, i);
+                    if src == dst {
+                        loops += 1;
+                        continue;
+                    }
+                    sampled.push(((src as u64) << 32) | dst as u64);
+                    if cfg.symmetric {
+                        sampled.push(((dst as u64) << 32) | src as u64);
+                    }
+                }
+                spill.append(sampled, scratch)?;
+            }
+            self_loops.fetch_add(loops, Ordering::Relaxed);
+            Ok(())
+        },
+    )?;
 
-    // Pass 2a: sort + dedup each bucket in isolation to learn exact totals.
-    let mut written_edges = 0u64;
-    let mut duplicates = 0u64;
-    for bucket in 0..spill.n_buckets() {
-        let mut edges = spill.load(bucket)?;
-        if edges.is_empty() {
-            continue;
+    // Pass 2a: sort + dedup each bucket (its spilled and still-pending
+    // edges) in isolation to learn exact totals.
+    let written = AtomicU64::new(0);
+    let duplicates = AtomicU64::new(0);
+    let largest = (0..n_buckets).map(|b| spill.len(b)).max().unwrap_or(0);
+    let sort_buffer = || Vec::with_capacity(largest);
+    run_claiming(ctx, n_buckets as u64, 1, sort_buffer, |edges, claim| {
+        while let Some(buckets) = claim() {
+            let bucket = buckets.start as usize;
+            let extents = spill.take_into(bucket, edges);
+            spill.read(&extents, edges)?;
+            let before = edges.len();
+            edges.sort_unstable();
+            edges.dedup();
+            duplicates.fetch_add((before - edges.len()) as u64, Ordering::Relaxed);
+            written.fetch_add(edges.len() as u64, Ordering::Relaxed);
+            let stored = spill.store(&extents, edges)?;
+            spill.lock(bucket).extents = stored;
         }
-        let before = edges.len();
-        edges.sort_unstable();
-        edges.dedup();
-        duplicates += (before - edges.len()) as u64;
-        written_edges += edges.len() as u64;
-        spill.store(bucket, &edges)?;
-    }
+        Ok(())
+    })?;
+    let written_edges = written.into_inner();
 
     // Pass 2b: stream the sorted buckets into the crash-safe builder.
     // Buckets are ordered by the high bits of `src` and sorted within, so a
@@ -372,8 +620,11 @@ pub fn generate_rmat(path: impl AsRef<Path>, cfg: &RmatConfig) -> Result<RmatSum
     let mut builder = GraphFileBuilder::create(path, n_nodes as usize, written_edges as usize)?;
     let mut row: Vec<u32> = Vec::new();
     let mut current: u64 = 0;
-    for bucket in 0..spill.n_buckets() {
-        for packed in spill.load(bucket)? {
+    let mut edges = Vec::with_capacity(largest);
+    for bucket in 0..n_buckets {
+        let extents = spill.take_into(bucket, &mut edges);
+        spill.read(&extents, &mut edges)?;
+        for &packed in &edges {
             let src = packed >> 32;
             let dst = (packed & 0xFFFF_FFFF) as u32;
             while current < src {
@@ -396,8 +647,8 @@ pub fn generate_rmat(path: impl AsRef<Path>, cfg: &RmatConfig) -> Result<RmatSum
         n_nodes,
         requested_edges: cfg.n_edges,
         written_edges,
-        self_loops_dropped: self_loops,
-        duplicates_dropped: duplicates,
+        self_loops_dropped: self_loops.into_inner(),
+        duplicates_dropped: duplicates.into_inner(),
     })
 }
 
@@ -482,10 +733,128 @@ mod tests {
         let one = dir.path().join("one.m3g");
         let many = dir.path().join("many.m3g");
         let cfg = small_cfg();
-        assert_eq!(bucket_levels(&cfg.clone().with_mem_budget(1 << 30)), 0);
+        assert_eq!(bucket_levels(&cfg.clone().with_mem_budget(1 << 30), 1), 0);
         generate_rmat(&one, &cfg.clone().with_mem_budget(1 << 30)).unwrap();
         generate_rmat(&many, &cfg.with_mem_budget(64 << 10)).unwrap();
         assert_eq!(std::fs::read(one).unwrap(), std::fs::read(many).unwrap());
+    }
+
+    #[test]
+    fn more_workers_split_the_budget_into_more_buckets() {
+        let cfg = RmatConfig::new(16, 200_000).with_mem_budget(1 << 20);
+        let levels: Vec<u32> = [1, 2, 4].map(|w| bucket_levels(&cfg, w)).to_vec();
+        assert!(levels.windows(2).all(|w| w[0] < w[1]), "{levels:?}");
+        assert_eq!(bucket_levels(&cfg, 0), levels[0], "0 workers count as 1");
+        // The fan-out stays capped at 1 024 buckets.
+        assert_eq!(bucket_levels(&cfg.with_mem_budget(64 << 10), 64), 10);
+    }
+
+    #[test]
+    fn pending_buffers_fit_the_budget_within_bounds() {
+        let dir = tempfile::tempdir().unwrap();
+        let output = dir.path().join("g.m3g");
+        for (n_buckets, budget, flush) in [
+            (1024, 8 << 20, 1024),
+            (1024, 64 << 10, 512),
+            (1, 1 << 30, 8 << 10),
+            (16, 1 << 20, 8 << 10),
+        ] {
+            let spill = SpillBuckets::create(&output, n_buckets, 0, budget).unwrap();
+            assert_eq!(spill.flush_edges, flush, "{n_buckets} buckets, {budget} B");
+        }
+        assert!(
+            !dir.path().join("g.m3g.spill").exists(),
+            "dropped spill file"
+        );
+    }
+
+    /// The selector `rmat_edge` used before it went branch-free.
+    fn quadrant_branchy(r: f64, a: f64, ab: f64, abc: f64) -> (u32, u32) {
+        if r < a {
+            (0, 0)
+        } else if r < ab {
+            (0, 1)
+        } else if r < abc {
+            (1, 0)
+        } else {
+            (1, 1)
+        }
+    }
+
+    #[test]
+    fn branch_free_quadrant_matches_the_branchy_selector() {
+        let params: [(f64, f64, f64); 7] = [
+            (0.57, 0.19, 0.19),
+            (0.25, 0.25, 0.25),
+            (0.45, 0.0, 0.3),
+            (0.5, 0.3, 0.0),
+            (0.0, 0.5, 0.5),
+            (1.0, 0.0, 0.0),
+            (0.0, 0.0, 0.0),
+        ];
+        let mut state = 0xD1CE_u64;
+        for (a, b, c) in params {
+            let ab = a + b;
+            let abc = ab + c;
+            let mut probes = vec![0.0, 1.0 - f64::EPSILON / 2.0];
+            // Exactly on each boundary, and one ulp either side of it.
+            for edge in [a, ab, abc] {
+                probes.extend([edge.next_down(), edge, edge.next_up()]);
+            }
+            probes.extend((0..10_000).map(|_| unit_f64(splitmix64(&mut state))));
+            for r in probes {
+                assert_eq!(
+                    quadrant(r, a, ab, abc),
+                    quadrant_branchy(r, a, ab, abc),
+                    "r={r} a={a} b={b} c={c}"
+                );
+            }
+        }
+    }
+
+    /// FNV-1a over the published bytes.
+    fn digest(path: &Path) -> u64 {
+        std::fs::read(path)
+            .unwrap()
+            .iter()
+            .fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x0100_0000_01B3)
+            })
+    }
+
+    #[test]
+    fn golden_bytes_at_every_thread_count() {
+        // Digests recorded with the serial generator that preceded the
+        // pooled one.  100 000 samples span two sample blocks, and the
+        // 64 KiB budget fans out to the full 1 024 buckets.
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().join("golden.m3g");
+        let cfg = RmatConfig::new(12, 100_000)
+            .with_seed(0x5EED)
+            .with_mem_budget(64 << 10);
+        let cases = [
+            (cfg.clone(), 0x3CBE_6A03_705A_A328, 137_370, 61_976),
+            (
+                cfg.with_symmetric(false),
+                0x8A2F_4D82_E105_65BD,
+                77_040,
+                22_633,
+            ),
+        ];
+        for (cfg, golden, written, duplicates) in cases {
+            for ctx in [
+                ExecContext::serial(),
+                ExecContext::new().with_threads(2),
+                ExecContext::new().with_threads(4),
+            ] {
+                let summary = generate_rmat_ctx(&path, &cfg, &ctx).unwrap();
+                let threads = ctx.threads();
+                assert_eq!(digest(&path), golden, "{threads} threads");
+                assert_eq!(summary.written_edges, written, "{threads} threads");
+                assert_eq!(summary.duplicates_dropped, duplicates, "{threads} threads");
+                assert_eq!(summary.self_loops_dropped, 327, "{threads} threads");
+            }
+        }
     }
 
     #[test]

@@ -42,7 +42,9 @@ pub mod synthetic;
 pub mod writer;
 
 pub use blobs::GaussianBlobs;
-pub use graph_gen::{generate_rmat, generate_rmat_graph, RmatConfig, RmatSummary};
+pub use graph_gen::{
+    generate_rmat, generate_rmat_ctx, generate_rmat_graph, RmatConfig, RmatSummary,
+};
 pub use infimnist::InfimnistLike;
 pub use libsvm::{convert_libsvm_to_csr, read_libsvm, read_libsvm_csr};
 pub use synthetic::LinearProblem;

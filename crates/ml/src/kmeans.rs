@@ -262,7 +262,9 @@ fn init_random<S: RowStore + ?Sized>(data: &S, k: usize, rng: &mut StdRng) -> De
     centroids
 }
 
-/// k-means++ (D²) initialisation.
+/// k-means++ (D²) initialisation.  Before each choice after the first, one
+/// pass over the data brings every row's distance to its nearest chosen
+/// centroid up to date — `k - 1` passes in all.
 fn init_plus_plus<S: RowStore + ?Sized>(data: &S, k: usize, rng: &mut StdRng) -> DenseMatrix {
     let n = data.n_rows();
     let d = data.n_cols();
@@ -272,11 +274,21 @@ fn init_plus_plus<S: RowStore + ?Sized>(data: &S, k: usize, rng: &mut StdRng) ->
     centroids.row_mut(0).copy_from_slice(data.row(first));
 
     // Squared distance of every point to its nearest chosen centroid.
-    let mut distances: Vec<f64> = (0..n)
-        .map(|r| ops::squared_distance(data.row(r), centroids.row(0)))
-        .collect();
-
+    let mut distances: Vec<f64> = Vec::new();
     for c in 1..k {
+        let newest = centroids.row(c - 1);
+        if c == 1 {
+            distances = (0..n)
+                .map(|r| ops::squared_distance(data.row(r), newest))
+                .collect();
+        } else {
+            for (r, dist) in distances.iter_mut().enumerate() {
+                let new_dist = ops::squared_distance(data.row(r), newest);
+                if new_dist < *dist {
+                    *dist = new_dist;
+                }
+            }
+        }
         let total: f64 = distances.iter().sum();
         let chosen = if total <= 0.0 {
             rng.gen_range(0..n)
@@ -293,13 +305,6 @@ fn init_plus_plus<S: RowStore + ?Sized>(data: &S, k: usize, rng: &mut StdRng) ->
             pick
         };
         centroids.row_mut(c).copy_from_slice(data.row(chosen));
-        // Refresh the nearest-centroid distances.
-        for (r, dist) in distances.iter_mut().enumerate() {
-            let new_dist = ops::squared_distance(data.row(r), centroids.row(c));
-            if new_dist < *dist {
-                *dist = new_dist;
-            }
-        }
     }
     centroids
 }
@@ -706,6 +711,85 @@ mod tests {
             mini.inertia,
             full.inertia
         );
+    }
+
+    /// FNV-1a over the centroid bits.
+    fn centroid_digest(model: &KMeansModel) -> u64 {
+        model
+            .centroids
+            .as_slice()
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xCBF2_9CE4_8422_2325, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0100_0000_01B3)
+            })
+    }
+
+    #[test]
+    fn plus_plus_seeding_matches_golden_centroids() {
+        // Digests recorded before the seeding dropped its unused final
+        // distance pass; zero Lloyd iterations leave the seeds themselves.
+        let (x, _) = blobs(200);
+        for (k, iterations, golden, inertia) in [
+            (3, 0, 0xA06B_699A_3E30_A3EA, 0x4078_D0BB_1845_D2F4),
+            (3, 5, 0xCA4F_F197_235D_2C90, 0x4071_94E2_E147_F543),
+            (5, 0, 0xF2AC_DCDA_24DE_2BF1, 0x4074_22A3_0E3B_A807),
+            (5, 5, 0xD817_C031_B9E3_DC2C, 0x406C_CB25_6BC7_852A),
+        ] {
+            let model = fit(
+                &KMeans::new(KMeansConfig {
+                    k,
+                    max_iterations: iterations,
+                    tolerance: 0.0,
+                    init: KMeansInit::PlusPlus,
+                    seed: 7,
+                    ..Default::default()
+                }),
+                &x,
+                &ExecContext::serial(),
+            );
+            assert_eq!(centroid_digest(&model), golden, "k={k} it={iterations}");
+            assert_eq!(model.inertia.to_bits(), inertia, "k={k} it={iterations}");
+        }
+    }
+
+    /// A store that counts the rows read through it.
+    struct CountingStore<'a> {
+        inner: &'a DenseMatrix,
+        rows_read: std::cell::Cell<usize>,
+    }
+
+    impl RowStore for CountingStore<'_> {
+        fn n_rows(&self) -> usize {
+            self.inner.n_rows()
+        }
+        fn n_cols(&self) -> usize {
+            self.inner.n_cols()
+        }
+        fn row(&self, i: usize) -> &[f64] {
+            self.rows_read.set(self.rows_read.get() + 1);
+            self.inner.row(i)
+        }
+        fn rows_slice(&self, start: usize, end: usize) -> &[f64] {
+            self.rows_read
+                .set(self.rows_read.get() + end.saturating_sub(start));
+            self.inner.rows_slice(start, end)
+        }
+    }
+
+    #[test]
+    fn plus_plus_seeding_makes_k_minus_one_passes() {
+        let (x, _) = blobs(120);
+        let n = x.n_rows();
+        for k in 1..=6 {
+            let store = CountingStore {
+                inner: &x,
+                rows_read: std::cell::Cell::new(0),
+            };
+            init_plus_plus(&store, k, &mut StdRng::seed_from_u64(3));
+            // `k - 1` full passes, plus one read per chosen centroid.
+            assert_eq!(store.rows_read.get(), (k - 1) * n + k, "k={k}");
+        }
     }
 
     #[test]

@@ -345,6 +345,72 @@ fn truncated_or_corrupt_graph_files_are_refused() {
     );
 }
 
+/// A spill write of the R-MAT generator fails on one of four workers in
+/// the middle of its sampling pass: the generator returns a typed I/O
+/// error (no panic, no hang), the other workers stop claiming work, the
+/// previous artifact at the path survives untouched (or none appears), and
+/// no spill file is left behind.
+#[test]
+fn rmat_spill_fault_mid_sampling_stops_every_worker() {
+    use m3::core::ExecContext;
+    use m3::data::{generate_rmat_ctx, DataError, RmatConfig};
+
+    // Thirty-one sample blocks and a budget that lets buckets buffer
+    // 64 KiB each: the sampling pass alone makes ~500 spill writes from
+    // all four workers (~810 for the whole run).  After the fault each
+    // worker finishes at most its current block, about 20 writes, so a
+    // failed run makes ~70; workers that kept claiming would make ~500.
+    let cfg = RmatConfig::new(12, 2_000_000)
+        .with_seed(3)
+        .with_mem_budget(16 << 20);
+    let ctx = ExecContext::new().with_threads(4);
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().join("rmat.m3g");
+    let spill = dir.path().join("rmat.m3g.spill");
+
+    faults::arm(
+        dir.path(),
+        FaultPlan::fail_at(u64::MAX, Some(FaultOp::Write)),
+    );
+    generate_rmat_ctx(&path, &cfg, &ctx).unwrap();
+    let clean = faults::disarm(dir.path());
+    let old_bytes = std::fs::read(&path).unwrap();
+
+    for fresh in [false, true] {
+        if fresh {
+            std::fs::remove_file(&path).unwrap();
+        }
+        faults::arm(dir.path(), FaultPlan::fail_at(20, Some(FaultOp::Write)));
+        let err = generate_rmat_ctx(&path, &cfg, &ctx).unwrap_err();
+        let failed = faults::disarm(dir.path());
+        assert!(failed.triggered);
+        assert!(
+            matches!(&err, DataError::Io(e) if e.to_string().contains("injected fault")),
+            "expected a typed injected I/O error, got: {err}"
+        );
+        // The builder was never created: no staging step ran.
+        let tmp = faults::tmp_sibling(&path);
+        assert!(
+            failed.log.iter().all(|step| step.path == spill),
+            "{:?}",
+            failed.log
+        );
+        assert!(
+            failed.matching_steps < clean.matching_steps / 4,
+            "workers kept spilling after the fault: {} of {} steps",
+            failed.matching_steps,
+            clean.matching_steps
+        );
+        assert!(!spill.exists(), "spill file left behind");
+        assert!(!tmp.exists(), "staging file left behind");
+        if fresh {
+            assert!(!path.exists(), "a failed generation published a graph");
+        } else {
+            assert_eq!(std::fs::read(&path).unwrap(), old_bytes);
+        }
+    }
+}
+
 #[test]
 fn corrupted_sections_are_caught_before_the_registry_publishes() {
     let dir = tempfile::tempdir().unwrap();

@@ -600,30 +600,45 @@ fn checkpoint_retention_keeps_exactly_the_newest_k() {
 }
 
 /// R-MAT generation is a pure function of its config — regenerating with the
-/// same seed reproduces the file byte for byte — and every published
-/// adjacency list is sorted, duplicate-free, loop-free and in range, with
-/// the summary's edge count matching the container header exactly.
+/// same seed reproduces the file byte for byte, at any thread count and any
+/// sort budget — and every published adjacency list is sorted,
+/// duplicate-free, loop-free and in range, with the summary's edge count
+/// matching the container header exactly.  The last cases span several
+/// sample blocks, so the sampling pass really runs on several workers.
 #[test]
 fn rmat_generation_is_deterministic_and_well_formed() {
-    use m3::core::AdjacencyStore;
-    for case in 0..12u64 {
+    use m3::core::{AdjacencyStore, ExecContext};
+    for case in 0..16u64 {
         let mut rng = StdRng::seed_from_u64(9000 + case);
-        let scale = rng.gen_range(4u32..10);
-        let n_edges = rng.gen_range(50u64..2500);
+        let (scale, n_edges) = if case < 12 {
+            (rng.gen_range(4u32..10), rng.gen_range(50u64..2500))
+        } else {
+            (rng.gen_range(8u32..15), rng.gen_range(70_000u64..200_000))
+        };
         let cfg = m3::data::RmatConfig::new(scale, n_edges)
             .with_seed(rng.gen())
             .with_symmetric(rng.gen_bool(0.5))
             .with_mem_budget(64 << 10);
         let dir = tempfile::tempdir().unwrap();
         let first = dir.path().join("first.m3g");
-        let second = dir.path().join("second.m3g");
+        let again = dir.path().join("again.m3g");
         let summary = m3::data::generate_rmat(&first, &cfg).unwrap();
-        m3::data::generate_rmat(&second, &cfg).unwrap();
-        assert_eq!(
-            std::fs::read(&first).unwrap(),
-            std::fs::read(&second).unwrap(),
-            "case {case}: same config must publish identical bytes"
-        );
+        let reference = std::fs::read(&first).unwrap();
+        for budget in [64usize << 10, 1 << 20, 1 << 30] {
+            for ctx in [
+                ExecContext::serial(),
+                ExecContext::new().with_threads(4),
+                ExecContext::new(),
+            ] {
+                let threads = ctx.threads();
+                let cfg = cfg.clone().with_mem_budget(budget);
+                m3::data::generate_rmat_ctx(&again, &cfg, &ctx).unwrap();
+                assert!(
+                    std::fs::read(&again).unwrap() == reference,
+                    "case {case}: budget {budget}, {threads} threads changed the bytes"
+                );
+            }
+        }
 
         let graph = m3::core::GraphFile::open_verified(&first).unwrap();
         assert_eq!(graph.n_nodes() as u64, 1u64 << scale, "case {case}");
